@@ -75,8 +75,10 @@ const (
 	// MoneyQuanta charged, Makespan achieved, WastedQuanta lost to
 	// faults.
 	KindMoneySettled
-	// KindAdvisorProposed: the advisor emitted candidate indexes for a
-	// flow; Count is how many.
+	// KindAdvisorProposed: an external index advisor emitted candidate
+	// indexes for a flow; Count is how many. Nothing in this module
+	// emits it; the kind stays so the idxflow-events/1 format is
+	// unchanged.
 	KindAdvisorProposed
 
 	numKinds

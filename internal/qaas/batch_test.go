@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"idxflow/internal/core"
 	"idxflow/internal/workload"
@@ -65,46 +64,35 @@ func TestBatchCoalescesQueuedAdmissions(t *testing.T) {
 	if r.Batch.Batches != 2 {
 		t.Fatalf("batches = %d, want 2 (one solo, one coalesced)", r.Batch.Batches)
 	}
-	if r.Batch.P95Size < 2 {
-		t.Fatalf("batch p95 = %g, want >= 2", r.Batch.P95Size)
+	// Sizes {1, 4}: the nearest-rank quantiles are exact window sizes.
+	if r.Batch.MeanSize != 2.5 || r.Batch.P50Size != 1 || r.Batch.P95Size != 4 {
+		t.Fatalf("batch mean/p50/p95 = %g/%g/%g, want 2.5/1/4",
+			r.Batch.MeanSize, r.Batch.P50Size, r.Batch.P95Size)
 	}
 }
 
-// TestBatchWindowWaits verifies a positive BatchWindow holds the batch
-// open for stragglers instead of sealing it immediately.
-func TestBatchWindowWaits(t *testing.T) {
+// TestBatchQuantilesAllSingletons submits one admission at a time, so
+// every window holds exactly one: the size quantiles must read 1, not an
+// interpolation inside the histogram's first bucket.
+func TestBatchQuantilesAllSingletons(t *testing.T) {
 	cfg := testConfig()
-	cfg.BatchMax = 2
-	cfg.BatchWindow = 500 * time.Millisecond
+	cfg.BatchMax = 8
 	p := New(cfg)
-	// Park the single worker on a blocked admission so it cannot steal the
-	// straggler this test feeds to its own collectBatch call.
-	entered := make(chan struct{})
-	release := make(chan struct{})
 	p.execOverride = func(ad *admission) admissionResult {
-		close(entered)
-		<-release
 		return admissionResult{res: core.FlowResult{Makespan: 1}}
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	for i := 0; i < 5; i++ {
 		if _, err := p.Submit(context.Background(), "t", dummyFlow()); err != nil {
-			t.Errorf("submit: %v", err)
+			t.Fatalf("submit: %v", err)
 		}
-	}()
-	<-entered
-
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		p.queue <- &admission{t: &Tenant{name: "x"}}
-	}()
-	batch := p.collectBatch(&admission{t: &Tenant{name: "x"}})
-	if len(batch) != 2 {
-		t.Fatalf("batch size %d, want 2 (window should wait for the straggler)", len(batch))
 	}
-	close(release)
-	<-done
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	b := p.Report().Batch
+	if b.Batches != 5 || b.MeanSize != 1 || b.P50Size != 1 || b.P95Size != 1 {
+		t.Fatalf("batch stats = %+v, want 5 windows of size 1", b)
+	}
 }
 
 // TestBatchPreservesSettlementAndIsolation runs real executions through

@@ -137,10 +137,6 @@ type Config struct {
 	// frontier memo instead of re-solving. Negative (or 1) disables
 	// batching: every admission is its own window.
 	BatchMax int
-	// BatchWindow is how long a worker waits for further queued
-	// admissions to join a batch after dequeuing its first (default 0:
-	// coalesce only what is already queued, never add latency).
-	BatchWindow time.Duration
 	// RetryAfter is the backpressure hint returned with rejections
 	// (default 1s).
 	RetryAfter time.Duration
@@ -232,7 +228,9 @@ type Pipeline struct {
 	admitted    atomic.Int64
 	rejected    atomic.Int64
 	tenantCount atomic.Int64
-	batches     atomic.Int64
+	// batchSizes[n] counts the batched windows that held n admissions
+	// (n ≤ BatchMax), for Report's exact size quantiles.
+	batchSizes []atomic.Int64
 
 	// execOverride replaces the worker's execution step in unit tests
 	// that need controllable timing without running the real tuner.
@@ -294,6 +292,8 @@ func New(cfg Config) *Pipeline {
 		shards: make([]*shard, cfg.Shards),
 		queue:  make(chan *admission, cfg.QueueDepth),
 		ledger: newLedger(),
+
+		batchSizes: make([]atomic.Int64, cfg.BatchMax+1),
 	}
 	for i := range p.shards {
 		p.shards[i] = &shard{tenants: make(map[string]*Tenant)}
@@ -479,33 +479,11 @@ func (p *Pipeline) worker() {
 }
 
 // collectBatch coalesces up to BatchMax-1 further queued admissions
-// behind the one just dequeued. With no BatchWindow it takes only what is
-// already queued (never adding latency); with a window it waits that long
-// for stragglers to join.
+// behind the one just dequeued. It takes only what is already queued, so
+// batching never adds latency.
 func (p *Pipeline) collectBatch(first *admission) []*admission {
 	batch := []*admission{first}
-	max := p.cfg.BatchMax
-	if max <= 1 {
-		return batch
-	}
-	if p.cfg.BatchWindow <= 0 {
-		for len(batch) < max {
-			select {
-			case ad, ok := <-p.queue:
-				if !ok {
-					return batch
-				}
-				p.ins.queueDepth.Add(-1)
-				batch = append(batch, ad)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	window := time.NewTimer(p.cfg.BatchWindow)
-	defer window.Stop()
-	for len(batch) < max {
+	for len(batch) < p.cfg.BatchMax {
 		select {
 		case ad, ok := <-p.queue:
 			if !ok {
@@ -513,7 +491,7 @@ func (p *Pipeline) collectBatch(first *admission) []*admission {
 			}
 			p.ins.queueDepth.Add(-1)
 			batch = append(batch, ad)
-		case <-window.C:
+		default:
 			return batch
 		}
 	}
@@ -532,7 +510,7 @@ func (p *Pipeline) collectBatch(first *admission) []*admission {
 // warm frontier memo.
 func (p *Pipeline) runBatch(batch []*admission) {
 	p.ins.batchSize.Observe(float64(len(batch)))
-	p.batches.Add(1)
+	p.batchSizes[len(batch)].Add(1)
 	var groups sync.WaitGroup
 	for i := 0; i < len(batch); i++ {
 		if batch[i] == nil {

@@ -2,6 +2,7 @@ package qaas
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"idxflow/internal/core"
 	"idxflow/internal/provenance"
@@ -155,11 +156,39 @@ func (p *Pipeline) Report() Report {
 	if total := r.Warm.Hits + r.Warm.Misses; total > 0 {
 		r.Warm.HitRate = float64(r.Warm.Hits) / float64(total)
 	}
-	r.Batch = BatchStats{Batches: p.batches.Load()}
-	if c := p.ins.batchSize.Count(); c > 0 {
-		r.Batch.MeanSize = p.ins.batchSize.Sum() / float64(c)
-		r.Batch.P50Size = p.ins.batchSize.Quantile(0.50)
-		r.Batch.P95Size = p.ins.batchSize.Quantile(0.95)
-	}
+	r.Batch = batchStats(p.batchSizes)
 	return r
+}
+
+// batchStats summarizes the per-size window counts (sizes[n] windows held
+// n admissions). Sizes are small integers, so the quantiles are exact
+// nearest-rank values, not interpolations within a histogram bucket.
+func batchStats(sizes []atomic.Int64) BatchStats {
+	counts := make([]int64, len(sizes))
+	var st BatchStats
+	var admissions int64
+	for n := range sizes {
+		counts[n] = sizes[n].Load()
+		st.Batches += counts[n]
+		admissions += int64(n) * counts[n]
+	}
+	if st.Batches == 0 {
+		return st
+	}
+	// rank returns the smallest size that at least pct% of windows do not
+	// exceed.
+	rank := func(pct int64) float64 {
+		want := (pct*st.Batches + 99) / 100
+		var cum int64
+		for n, c := range counts {
+			if cum += c; cum >= want {
+				return float64(n)
+			}
+		}
+		return float64(len(counts) - 1)
+	}
+	st.MeanSize = float64(admissions) / float64(st.Batches)
+	st.P50Size = rank(50)
+	st.P95Size = rank(95)
+	return st
 }

@@ -8,34 +8,13 @@ import (
 	"testing"
 	"time"
 
-	"idxflow/internal/core"
 	"idxflow/internal/provenance"
-	"idxflow/internal/telemetry"
 	"idxflow/internal/workload"
 )
 
-// debugServer is testServer with an enabled flight recorder wired into the
-// service, as the -events flag does in cmd/idxflow-server.
-func debugServer(t *testing.T) (*Server, *httptest.Server) {
+func submitFlow(t *testing.T, ts *httptest.Server, db *workload.FileDB) {
 	t.Helper()
-	db, err := workload.NewFileDB(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Sched.MaxSkyline = 4
-	cfg.Sched.MaxContainers = 10
-	cfg.Telemetry = telemetry.NewRegistry()
-	cfg.Provenance = provenance.NewRecorder(0)
-	s := New(core.NewService(cfg, db), db)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
-}
-
-func submitFlow(t *testing.T, s *Server, ts *httptest.Server) {
-	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/dataflows", "text/plain", strings.NewReader(flowText(s.db)))
+	resp, err := http.Post(ts.URL+"/v1/dataflows", "text/plain", strings.NewReader(flowText(db)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +42,9 @@ func getEvents(t *testing.T, url string) (provenance.Header, []provenance.Event,
 }
 
 func TestDebugEventsEndpoint(t *testing.T) {
-	s, ts := debugServer(t)
-	submitFlow(t, s, ts)
-	submitFlow(t, s, ts)
+	db, ts := testServer(t)
+	submitFlow(t, ts, db)
+	submitFlow(t, ts, db)
 
 	h, events, status := getEvents(t, ts.URL+"/debug/events")
 	if status != http.StatusOK {
@@ -122,9 +101,9 @@ func TestDebugEventsEndpoint(t *testing.T) {
 // TestDebugFlowTrace checks the acceptance property: /debug/flows/{id}
 // returns the complete decision chain for a dataflow in causal order.
 func TestDebugFlowTrace(t *testing.T) {
-	s, ts := debugServer(t)
-	submitFlow(t, s, ts)
-	submitFlow(t, s, ts)
+	db, ts := testServer(t)
+	submitFlow(t, ts, db)
+	submitFlow(t, ts, db)
 
 	resp, err := http.Get(ts.URL + "/debug/flows/1")
 	if err != nil {

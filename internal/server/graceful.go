@@ -47,20 +47,18 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 	if serr := <-errc; serr != nil && !errors.Is(serr, http.ErrServerClosed) && err == nil {
 		err = serr
 	}
-	// In QaaS mode the HTTP drain only settles the request handlers; the
-	// admission pipeline may still hold queued work whose submitters
-	// disconnected. Complete it before flushing observers so the final
-	// books and event logs are quiescent. The pipeline drain gets its own
-	// deadline: the HTTP drain may have consumed (or exhausted) dctx, and
-	// an already-expired context would cut the pipeline off before it
+	// The HTTP drain only settles the request handlers; the admission
+	// pipeline may still hold queued work whose submitters disconnected.
+	// Complete it before flushing observers so the final books and event
+	// logs are quiescent. The pipeline drain gets its own deadline: the
+	// HTTP drain may have consumed (or exhausted) dctx, and an
+	// already-expired context would cut the pipeline off before it
 	// finished work the HTTP drain just waited for.
-	if s.pipe != nil {
-		pctx, pcancel := context.WithTimeout(context.Background(), drainTimeout)
-		if derr := s.pipe.Drain(pctx); derr != nil && err == nil {
-			err = derr
-		}
-		pcancel()
+	pctx, pcancel := context.WithTimeout(context.Background(), drainTimeout)
+	if derr := s.pipe.Drain(pctx); derr != nil && err == nil {
+		err = derr
 	}
+	pcancel()
 	// In-flight requests are done (or cut off): flush observers now so
 	// traces and event logs capture everything the drain allowed to finish.
 	s.runShutdownHooks()

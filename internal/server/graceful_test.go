@@ -12,24 +12,7 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"idxflow/internal/core"
-	"idxflow/internal/telemetry"
-	"idxflow/internal/workload"
 )
-
-func newTestServer(t *testing.T) (*Server, *workload.FileDB) {
-	t.Helper()
-	db, err := workload.NewFileDB(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Sched.MaxSkyline = 4
-	cfg.Sched.MaxContainers = 10
-	cfg.Telemetry = telemetry.NewRegistry()
-	return New(core.NewService(cfg, db), db), db
-}
 
 // startServe runs Serve on an ephemeral listener and returns the base URL,
 // the cancel triggering shutdown, and a channel with Serve's result.

@@ -24,12 +24,8 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestPrometheusEndpoint(t *testing.T) {
-	s, ts := testServer(t)
-	resp, err := http.Post(ts.URL+"/v1/dataflows", "text/plain", strings.NewReader(flowText(s.db)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	db, ts := testServer(t)
+	submitFlow(t, ts, db)
 
 	r, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -89,11 +85,11 @@ func TestMetricsJSONAlias(t *testing.T) {
 }
 
 // TestConcurrentSubmitAndScrape hammers submissions and scrapes in
-// parallel; run with -race it verifies the one-lock service access and the
-// registry's internal synchronization.
+// parallel against one tenant; run with -race it verifies the tenant lock
+// and the registry's internal synchronization.
 func TestConcurrentSubmitAndScrape(t *testing.T) {
-	s, ts := testServer(t)
-	body := flowText(s.db)
+	db, ts := testServer(t)
+	body := flowText(db)
 	const submitters, scrapers, rounds = 4, 4, 5
 
 	var wg sync.WaitGroup

@@ -9,7 +9,6 @@ import (
 	"idxflow/internal/check"
 	"idxflow/internal/core"
 	"idxflow/internal/flowlang"
-	"idxflow/internal/provenance"
 	"idxflow/internal/qaas"
 	"idxflow/internal/workload"
 )
@@ -18,8 +17,8 @@ import (
 // parameter is absent.
 const TenantHeader = "X-Idxflow-Tenant"
 
-// DefaultTenant is used when a request names no tenant at all, so
-// single-tenant clients keep working unchanged against a QaaS server.
+// DefaultTenant serves every request that names no tenant, so
+// single-tenant clients need not know about tenants at all.
 const DefaultTenant = "default"
 
 // tenantOf resolves the request's tenant: ?tenant= wins, then the
@@ -41,12 +40,12 @@ type BackpressureResponse struct {
 	RetryAfterSeconds float64 `json:"retry_after_seconds"`
 }
 
-// handleSubmitQaaS admits one dataflow through the concurrent pipeline and
+// handleSubmit admits one dataflow through the concurrent pipeline and
 // blocks until its Algorithm-1 pass completes. Backpressure surfaces as
 // HTTP 429 with a Retry-After header (whole seconds, rounded up per RFC
 // 9110); a client that disconnects while queued gets its execution
 // abandoned uncharged.
-func (s *Server) handleSubmitQaaS(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	flow, err := flowlang.Parse(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -77,9 +76,6 @@ func (s *Server) handleSubmitQaaS(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	s.mu.Lock()
-	s.submitted++
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, SubmitResponse{
 		Flow:            res.Flow.Name,
 		StartSeconds:    res.Start,
@@ -103,7 +99,7 @@ func (s *Server) lookupTenant(r *http.Request) *qaas.Tenant {
 	return s.pipe.Lookup(tenantOf(r))
 }
 
-func (s *Server) handleIndexesQaaS(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 	onlyAvailable := r.URL.Query().Get("available") == "true"
 	out := []IndexInfo{}
 	if t := s.lookupTenant(r); t != nil {
@@ -114,8 +110,8 @@ func (s *Server) handleIndexesQaaS(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// QaaSMetricsResponse is the tenant-scoped /v1/metrics view in QaaS mode.
-type QaaSMetricsResponse struct {
+// MetricsResponse is the tenant-scoped /v1/metrics view.
+type MetricsResponse struct {
 	Tenant           string  `json:"tenant"`
 	ClockSeconds     float64 `json:"clock_seconds"`
 	Admitted         int64   `json:"dataflows_admitted"`
@@ -124,8 +120,8 @@ type QaaSMetricsResponse struct {
 	VMQuanta         float64 `json:"vm_quanta"`
 }
 
-func (s *Server) handleMetricsQaaS(w http.ResponseWriter, r *http.Request) {
-	resp := QaaSMetricsResponse{Tenant: tenantOf(r)}
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	resp := MetricsResponse{Tenant: tenantOf(r)}
 	if t := s.lookupTenant(r); t != nil {
 		resp.Admitted = t.Admitted()
 		t.Do(func(svc *core.Service, db *workload.FileDB) {
@@ -138,7 +134,7 @@ func (s *Server) handleMetricsQaaS(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleTablesQaaS(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	out := []TableInfo{}
 	if t := s.lookupTenant(r); t != nil {
 		t.Do(func(svc *core.Service, db *workload.FileDB) {
@@ -153,22 +149,6 @@ func (s *Server) handleTablesQaaS(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleEventsQaaS(w http.ResponseWriter, r *http.Request) {
-	var rec *provenance.Recorder // nil-safe: an absent tenant has an empty log
-	if t := s.lookupTenant(r); t != nil {
-		rec = t.Recorder()
-	}
-	serveEvents(w, r, rec)
-}
-
-func (s *Server) handleFlowQaaS(w http.ResponseWriter, r *http.Request) {
-	var rec *provenance.Recorder // nil-safe: an absent tenant recorded no flows
-	if t := s.lookupTenant(r); t != nil {
-		rec = t.Recorder()
-	}
-	serveFlowTrace(w, r, rec)
 }
 
 // handleQaaSReport exposes the pipeline-wide snapshot: queue depth, fleet

@@ -17,9 +17,9 @@ import (
 	"idxflow/internal/workload"
 )
 
-// testQaaSServer builds a QaaS-mode server over a small pipeline. mutate
-// tweaks the pipeline config before construction.
-func testQaaSServer(t *testing.T, mutate func(*qaas.Config)) (*qaas.Pipeline, *check.ExecAuditor, *httptest.Server) {
+// testPipeline builds a small pipeline with an exact in-line auditor.
+// mutate tweaks the pipeline config before construction.
+func testPipeline(t *testing.T, mutate func(*qaas.Config)) (*qaas.Pipeline, *check.ExecAuditor) {
 	t.Helper()
 	cc := core.DefaultConfig()
 	cc.Sched.MaxSkyline = 4
@@ -40,9 +40,15 @@ func testQaaSServer(t *testing.T, mutate func(*qaas.Config)) (*qaas.Pipeline, *c
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	p := qaas.New(cfg)
-	srv := NewQaaS(p, auditor)
-	ts := httptest.NewServer(srv.Handler())
+	return qaas.New(cfg), auditor
+}
+
+// testQaaSServer serves a testPipeline over HTTP with no tenant
+// instantiated yet.
+func testQaaSServer(t *testing.T, mutate func(*qaas.Config)) (*qaas.Pipeline, *check.ExecAuditor, *httptest.Server) {
+	t.Helper()
+	p, auditor := testPipeline(t, mutate)
+	ts := httptest.NewServer(NewQaaS(p, auditor).Handler())
 	t.Cleanup(ts.Close)
 	return p, auditor, ts
 }
@@ -100,7 +106,7 @@ func TestQaaSSubmitAndTenantIsolation(t *testing.T) {
 	if len(bobIdx) != 0 {
 		t.Errorf("tenant bob sees %d of alice's indexes", len(bobIdx))
 	}
-	var bobMetrics QaaSMetricsResponse
+	var bobMetrics MetricsResponse
 	getJSON(t, ts.URL+"/v1/metrics?tenant=bob", &bobMetrics)
 	if bobMetrics.Admitted != 0 || bobMetrics.VMQuanta != 0 {
 		t.Errorf("tenant bob has activity: %+v", bobMetrics)
@@ -139,7 +145,7 @@ func TestQaaSSubmitAndTenantIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var aliceMetrics QaaSMetricsResponse
+	var aliceMetrics MetricsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&aliceMetrics); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +310,7 @@ func TestQaaSReadOnlyEndpointsDoNotInstantiateTenants(t *testing.T) {
 	if len(idx) != 0 {
 		t.Errorf("absent tenant has %d indexes", len(idx))
 	}
-	var m QaaSMetricsResponse
+	var m MetricsResponse
 	getJSON(t, ts.URL+"/v1/metrics?tenant=ghost-2", &m)
 	if m.Tenant != "ghost-2" || m.Admitted != 0 || m.VMQuanta != 0 {
 		t.Errorf("absent tenant metrics = %+v, want zero view", m)

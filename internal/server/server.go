@@ -6,17 +6,25 @@
 // Endpoints:
 //
 //	POST /v1/dataflows       submit one dataflow in flowlang format
-//	GET  /v1/indexes         the current index states
-//	GET  /v1/metrics         service counters (JSON)
-//	GET  /v1/tables          the catalog's tables
+//	GET  /v1/indexes         the tenant's current index states
+//	GET  /v1/metrics         the tenant's service counters (JSON)
+//	GET  /v1/tables          the tenant's catalog tables
+//	GET  /v1/qaas            the pipeline snapshot: queue, fleet, books
 //	GET  /metrics            Prometheus text exposition of the telemetry registry
 //	GET  /metrics.json       alias of /v1/metrics for scrapers expecting JSON
+//	GET  /debug/events       the tenant's decision-provenance log (JSONL)
+//	GET  /debug/flows/{id}   one dataflow's decision chain
+//	GET  /debug/audit        the accounting verdict
 //	GET  /healthz            liveness
 //
-// The core service processes dataflows sequentially (§3); the server
-// serializes all service access with one mutex accordingly. The telemetry
-// registry is internally synchronized, so /metrics scrapes never block a
-// running submission.
+// Every submission goes through a qaas.Pipeline: a bounded admission
+// queue feeds a worker pool that runs Algorithm-1 passes concurrently
+// across tenants against a shared container fleet. A request names its
+// tenant with ?tenant= or the X-Idxflow-Tenant header; one that names none
+// goes to DefaultTenant. Each tenant's lock serializes its own passes
+// (§3); the state endpoints read a tenant under that lock, so they see
+// whole passes only. The telemetry registry is internally synchronized, so
+// /metrics scrapes never block a running submission.
 package server
 
 import (
@@ -26,31 +34,18 @@ import (
 	"sync"
 
 	"idxflow/internal/check"
-	"idxflow/internal/core"
 	"idxflow/internal/data"
-	"idxflow/internal/flowlang"
 	"idxflow/internal/qaas"
-	"idxflow/internal/telemetry"
-	"idxflow/internal/workload"
 )
 
-// Server wraps a core.Service (sequential mode) or a qaas.Pipeline
-// (concurrent multi-tenant mode) with an HTTP API.
+// Server wraps a qaas.Pipeline with an HTTP API. auditor optionally
+// collects a per-execution check.Audit verdict surfaced at /debug/audit.
 type Server struct {
-	mu  sync.Mutex
-	svc *core.Service
-	db  *workload.FileDB
-
-	// pipe, when non-nil, puts the server in QaaS mode: submissions flow
-	// through the concurrent admission pipeline, state endpoints are
-	// tenant-scoped (?tenant= or X-Idxflow-Tenant), and Serve drains the
-	// pipeline after the HTTP drain. auditor optionally collects a
-	// per-execution check.Audit verdict surfaced at /debug/audit.
 	pipe    *qaas.Pipeline
 	auditor *check.ExecAuditor
 
-	submitted int
-	flush     []func()
+	mu    sync.Mutex // guards flush
+	flush []func()
 }
 
 // OnShutdown registers a hook that Serve runs after the graceful drain
@@ -75,54 +70,31 @@ func (s *Server) runShutdownHooks() {
 	}
 }
 
-// New returns a server over the given service and file database.
-func New(svc *core.Service, db *workload.FileDB) *Server {
-	return &Server{svc: svc, db: db}
-}
-
-// NewQaaS returns a server in concurrent multi-tenant mode over the given
-// pipeline. auditor may be nil; when set, every execution is audited via
-// the pipeline's PostExec hook and /debug/audit reports the verdict.
+// NewQaaS returns a server over the given pipeline. auditor may be nil;
+// when set, every execution is audited via the pipeline's PostExec hook
+// and /debug/audit reports the verdict.
 func NewQaaS(p *qaas.Pipeline, auditor *check.ExecAuditor) *Server {
 	return &Server{pipe: p, auditor: auditor}
-}
-
-// telemetry returns the registry backing /metrics in either mode.
-func (s *Server) telemetry() *telemetry.Registry {
-	if s.pipe != nil {
-		return s.pipe.Telemetry()
-	}
-	return s.svc.Telemetry()
 }
 
 // Handler returns the HTTP handler with all routes mounted.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	if s.pipe != nil {
-		mux.HandleFunc("POST /v1/dataflows", s.handleSubmitQaaS)
-		mux.HandleFunc("GET /v1/indexes", s.handleIndexesQaaS)
-		mux.HandleFunc("GET /v1/metrics", s.handleMetricsQaaS)
-		mux.HandleFunc("GET /v1/tables", s.handleTablesQaaS)
-		mux.HandleFunc("GET /v1/qaas", s.handleQaaSReport)
-		mux.HandleFunc("GET /metrics.json", s.handleMetricsQaaS)
-		mux.HandleFunc("GET /debug/events", s.handleEventsQaaS)
-		mux.HandleFunc("GET /debug/flows/{id}", s.handleFlowQaaS)
-		mux.HandleFunc("GET /debug/audit", s.handleAudit)
-	} else {
-		mux.HandleFunc("POST /v1/dataflows", s.handleSubmit)
-		mux.HandleFunc("GET /v1/indexes", s.handleIndexes)
-		mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-		mux.HandleFunc("GET /v1/tables", s.handleTables)
-		mux.HandleFunc("GET /metrics.json", s.handleMetrics)
-		mux.HandleFunc("GET /debug/events", s.handleEvents)
-		mux.HandleFunc("GET /debug/flows/{id}", s.handleFlow)
-	}
+	mux.HandleFunc("POST /v1/dataflows", s.handleSubmit)
+	mux.HandleFunc("GET /v1/indexes", s.handleIndexes)
+	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	mux.HandleFunc("GET /v1/tables", s.handleTables)
+	mux.HandleFunc("GET /v1/qaas", s.handleQaaSReport)
+	mux.HandleFunc("GET /metrics.json", s.handleMetrics)
+	mux.HandleFunc("GET /debug/events", s.handleEvents)
+	mux.HandleFunc("GET /debug/flows/{id}", s.handleFlow)
+	mux.HandleFunc("GET /debug/audit", s.handleAudit)
 	mux.HandleFunc("GET /metrics", s.handlePrometheus)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})
-	reqs := s.telemetry().CounterVec("idxflow_http_requests_total",
+	reqs := s.pipe.Telemetry().CounterVec("idxflow_http_requests_total",
 		"HTTP requests served, by route pattern.", "route")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if _, pattern := mux.Handler(r); pattern != "" {
@@ -134,12 +106,12 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// handlePrometheus renders the service's telemetry registry in the
+// handlePrometheus renders the pipeline's telemetry registry in the
 // Prometheus text exposition format. The registry synchronizes itself, so
-// no server lock is taken and scrapes cannot delay submissions.
+// no tenant lock is taken and scrapes cannot delay submissions.
 func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.telemetry().WritePrometheus(w); err != nil {
+	if err := s.pipe.Telemetry().WritePrometheus(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
@@ -155,33 +127,6 @@ type SubmitResponse struct {
 	BuildsCompleted int      `json:"builds_completed"`
 	BuildsKilled    int      `json:"builds_killed"`
 	IndexesDeleted  []string `json:"indexes_deleted"`
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	flow, err := flowlang.Parse(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.mu.Lock()
-	if flow.IssuedAt < s.svc.Clock() {
-		flow.IssuedAt = s.svc.Clock()
-	}
-	res := s.svc.Submit(flow)
-	s.submitted++
-	s.mu.Unlock()
-
-	writeJSON(w, http.StatusOK, SubmitResponse{
-		Flow:            res.Flow.Name,
-		StartSeconds:    res.Start,
-		EndSeconds:      res.End,
-		MakespanSeconds: res.Makespan,
-		MoneyQuanta:     res.MoneyQuanta,
-		IndexesUsed:     orEmpty(res.IndexesUsed),
-		BuildsCompleted: res.BuildsCompleted,
-		BuildsKilled:    res.BuildsKilled,
-		IndexesDeleted:  orEmpty(res.Deleted),
-	})
 }
 
 // IndexInfo is the JSON view of one index state.
@@ -219,55 +164,12 @@ func indexInfos(cat *data.Catalog, onlyAvailable bool) []IndexInfo {
 	return out
 }
 
-func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
-	onlyAvailable := r.URL.Query().Get("available") == "true"
-	s.mu.Lock()
-	out := indexInfos(s.svc.Catalog(), onlyAvailable)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
-}
-
-// MetricsResponse summarizes service counters.
-type MetricsResponse struct {
-	ClockSeconds     float64 `json:"clock_seconds"`
-	Submitted        int     `json:"dataflows_submitted"`
-	IndexesAvailable int     `json:"indexes_available"`
-	IndexStorageMB   float64 `json:"index_storage_mb"`
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	resp := MetricsResponse{
-		ClockSeconds:     s.svc.Clock(),
-		Submitted:        s.submitted,
-		IndexesAvailable: len(s.svc.Catalog().AvailableSet()),
-		IndexStorageMB:   s.svc.Catalog().BuiltSizeMB(),
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // TableInfo is the JSON view of one catalog table.
 type TableInfo struct {
 	Name       string  `json:"name"`
 	Partitions int     `json:"partitions"`
 	Records    int64   `json:"records"`
 	SizeMB     float64 `json:"size_mb"`
-}
-
-func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	out := []TableInfo{}
-	for _, f := range s.db.Files {
-		out = append(out, TableInfo{
-			Name:       f.Table.Name,
-			Partitions: len(f.Table.Partitions),
-			Records:    f.Table.NumRecords(),
-			SizeMB:     f.Table.SizeMB(),
-		})
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -8,26 +8,32 @@ import (
 	"testing"
 
 	"idxflow/internal/core"
-	"idxflow/internal/telemetry"
 	"idxflow/internal/workload"
 )
 
-func testServer(t *testing.T) (*Server, *httptest.Server) {
+// newTestServer builds a server over testPipeline with the default tenant
+// instantiated, as cmd/idxflow-server does at startup, and returns that
+// tenant's database.
+func newTestServer(t *testing.T) (*Server, *workload.FileDB) {
 	t.Helper()
-	db, err := workload.NewFileDB(1)
+	p, auditor := testPipeline(t, nil)
+	tenant, err := p.Tenant(DefaultTenant)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	cfg.Sched.MaxSkyline = 4
-	cfg.Sched.MaxContainers = 10
-	// A per-test registry keeps counter assertions independent of other
-	// tests sharing the package-level default.
-	cfg.Telemetry = telemetry.NewRegistry()
-	s := New(core.NewService(cfg, db), db)
+	var db *workload.FileDB
+	tenant.Do(func(_ *core.Service, tdb *workload.FileDB) { db = tdb })
+	return NewQaaS(p, auditor), db
+}
+
+// testServer serves newTestServer over HTTP and returns the default
+// tenant's database, against which flowText crafts dataflows.
+func testServer(t *testing.T) (*workload.FileDB, *httptest.Server) {
+	t.Helper()
+	s, db := newTestServer(t)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return s, ts
+	return db, ts
 }
 
 // flowText builds a flowlang dataflow reading a real catalog partition so
@@ -58,8 +64,8 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestSubmitDataflow(t *testing.T) {
-	s, ts := testServer(t)
-	body := flowText(s.db)
+	db, ts := testServer(t)
+	body := flowText(db)
 	resp, err := http.Post(ts.URL+"/v1/dataflows", "text/plain", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +111,10 @@ func TestSubmitWrongMethod(t *testing.T) {
 }
 
 func TestIndexLifecycleOverAPI(t *testing.T) {
-	s, ts := testServer(t)
+	db, ts := testServer(t)
 	// Submit the same flow a few times so its index becomes beneficial and
 	// gets built.
-	body := flowText(s.db)
+	body := flowText(db)
 	for i := 0; i < 4; i++ {
 		resp, err := http.Post(ts.URL+"/v1/dataflows", "text/plain", strings.NewReader(body))
 		if err != nil {
@@ -136,8 +142,8 @@ func TestIndexLifecycleOverAPI(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	s, ts := testServer(t)
-	http.Post(ts.URL+"/v1/dataflows", "text/plain", strings.NewReader(flowText(s.db)))
+	db, ts := testServer(t)
+	submitFlow(t, ts, db)
 	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +153,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Submitted != 1 {
-		t.Errorf("submitted = %d, want 1", m.Submitted)
+	if m.Tenant != DefaultTenant || m.Admitted != 1 {
+		t.Errorf("metrics = %+v, want the default tenant with 1 admission", m)
 	}
 	if m.ClockSeconds <= 0 {
 		t.Errorf("clock = %g", m.ClockSeconds)

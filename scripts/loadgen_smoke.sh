@@ -21,7 +21,7 @@ go build -race -o "$BIN/idxflow-server" ./cmd/idxflow-server
 go build -o "$BIN/idxflow-loadgen" ./cmd/idxflow-loadgen
 
 echo "== start server =="
-"$BIN/idxflow-server" -addr "$ADDR" -qaas -workers 4 -queue 64 \
+"$BIN/idxflow-server" -addr "$ADDR" -workers 4 -queue 64 \
 	-tenant-inflight 16 -fleet 16 > "$BIN/server.log" 2>&1 &
 SERVER_PID=$!
 
