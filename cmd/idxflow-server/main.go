@@ -62,7 +62,7 @@ func main() {
 		maxTen   = flag.Int("max-tenants", qaas.DefaultMaxTenants, "cap on distinct tenants a server instantiates (-1 disables)")
 		fleet    = flag.Int("fleet", 64, "shared container fleet capacity")
 		pace     = flag.Float64("pace", 0, "wall-clock ms of container occupancy per billing quantum of makespan")
-		provCap  = flag.Int("prov-cap", 262144, "per-tenant provenance ring capacity")
+		provCap  = flag.Int("prov-cap", 262144, "per-tenant provenance ring capacity (the ring grows on demand up to it, then overwrites the oldest event)")
 		batchMax = flag.Int("batch-max", qaas.DefaultBatchMax, "admissions coalesced per batched window (-1 disables)")
 		audit    = flag.Bool("audit", true, "run check.Audit on every execution, verdict at /debug/audit")
 	)

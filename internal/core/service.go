@@ -468,19 +468,14 @@ func (s *Service) costsOf(name string) (gain.Costs, *data.BuildState) {
 // candidateNames returns every index that has gain history or built
 // partitions, sorted.
 func (s *Service) candidateNames() []string {
-	set := make(map[string]bool)
-	for _, name := range s.db.Catalog.IndexNames() {
-		st := s.db.Catalog.State(name)
-		if st.BuiltCount() > 0 || len(s.eval.History.Records(name)) > 0 {
-			set[name] = true
+	names := s.db.Catalog.IndexNames()
+	out := names[:0]
+	for _, name := range names {
+		if s.db.Catalog.State(name).BuiltCount() > 0 || len(s.eval.History.Records(name)) > 0 {
+			out = append(out, name)
 		}
 	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return out
 }
 
 // buildCandidate is one index-build partition operator offered to the

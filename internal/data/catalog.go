@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -131,6 +132,8 @@ func (b *BuildState) MissingPartitions() []int {
 type Catalog struct {
 	tables map[string]*Table
 	states map[string]*BuildState
+	// names holds the keys of states, kept sorted by RegisterIndex.
+	names []string
 	// byPath maps a partition path to its table, built lazily.
 	byPath map[string]*Table
 }
@@ -192,21 +195,17 @@ func (c *Catalog) RegisterIndex(idx *Index) (*BuildState, error) {
 	}
 	st := NewBuildState(idx)
 	c.states[name] = st
+	i, _ := slices.BinarySearch(c.names, name)
+	c.names = slices.Insert(c.names, i, name)
 	return st, nil
 }
 
 // State returns the build state of the named index, or nil.
 func (c *Catalog) State(name string) *BuildState { return c.states[name] }
 
-// IndexNames returns all registered index names, sorted.
-func (c *Catalog) IndexNames() []string {
-	names := make([]string, 0, len(c.states))
-	for n := range c.states {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// IndexNames returns all registered index names, sorted. The slice is a
+// copy the caller may modify.
+func (c *Catalog) IndexNames() []string { return slices.Clone(c.names) }
 
 // Available reports whether the named index has at least one built
 // partition (usable incrementally per §3).

@@ -59,10 +59,15 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("flowlang: line %d: %s", e.Line, e.Msg)
 }
 
+// maxLine is the longest line Parse accepts, in bytes.
+const maxLine = 1024 * 1024
+
 // Parse reads one flow definition.
 func Parse(r io.Reader) (*dataflow.Flow, error) {
 	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// Start small and let the scanner grow the buffer for long lines, up
+	// to a 1 MB line; a longer line fails with bufio.ErrTooLong.
+	scanner.Buffer(nil, maxLine)
 	flow := &dataflow.Flow{Graph: dataflow.New()}
 	names := make(map[string]dataflow.OpID)
 	sawFlow := false

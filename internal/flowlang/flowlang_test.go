@@ -1,7 +1,10 @@
 package flowlang
 
 import (
+	"bufio"
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -146,4 +149,46 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("round-trip failed: %v", err)
 		}
 	})
+}
+
+// twoOps is the smallest useful flow: a scan feeding an aggregate.
+const twoOps = `flow two-ops
+input montage0/0
+op scan kind=range time=40 reads=montage0/0
+op agg kind=aggregate time=10
+edge scan -> agg size=4
+`
+
+// TestParseLineLimit pins the scanner's limit: a line just under 1 MB
+// parses, one over it fails with bufio.ErrTooLong.
+func TestParseLineLimit(t *testing.T) {
+	long := "# " + strings.Repeat("x", 900*1024) + "\n"
+	f, err := ParseString(long + twoOps)
+	if err != nil {
+		t.Fatalf("flow with a 900 KB line: %v", err)
+	}
+	if f.Graph.Len() != 2 {
+		t.Fatalf("ops = %d, want 2", f.Graph.Len())
+	}
+	tooLong := "# " + strings.Repeat("x", maxLine) + "\n"
+	if _, err := ParseString(tooLong + twoOps); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("flow with a line over 1 MB: err = %v, want bufio.ErrTooLong", err)
+	}
+}
+
+// TestParseSmallFlowAllocations keeps parsing a small flow cheap: the
+// scanner must not reserve its 1 MB line limit up front.
+func TestParseSmallFlowAllocations(t *testing.T) {
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ParseString(twoOps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("parsing a two-operator flow allocated %d bytes, want < 64 KB", per)
+	}
 }

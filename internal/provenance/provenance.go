@@ -1,5 +1,5 @@
-// Package provenance is the decision flight recorder: a fixed-capacity
-// ring buffer of typed events, one per consequential tuner decision —
+// Package provenance is the decision flight recorder: a bounded ring
+// buffer of typed events, one per consequential tuner decision —
 // dataflow admission and skyline choice (Algorithm 1), index adoption and
 // eviction with the Eq. 2–5 gain inputs that justified them, interleaved
 // build placement (§5.3), fault injection/recovery (§6.4), and per-flow
@@ -7,7 +7,8 @@
 //
 // The recorder is seed-deterministic: events carry simulated service time,
 // never wall-clock time, so two runs with the same seed produce the same
-// log. Appends take one mutex and copy the event into a preallocated slot;
+// log. The ring grows on demand to its capacity, then overwrites the
+// oldest event. Appends take one mutex and copy the event into its slot;
 // a disabled or nil recorder costs a single atomic load, so recording can
 // stay threaded through hot paths the way nil tracer spans do.
 package provenance
@@ -15,6 +16,7 @@ package provenance
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -147,9 +149,10 @@ type ParetoPoint struct {
 }
 
 // Event is one recorded decision. It is a single flat struct so the ring
-// buffer holds events by value: appending copies into a preallocated slot
-// and allocates nothing (except FlowScheduled's Alts slice, built once per
-// flow). Fields irrelevant to a kind stay zero and are omitted from JSON.
+// buffer holds events by value: appending copies it into a ring slot and
+// allocates nothing beyond the ring's own growth (and FlowScheduled's
+// Alts slice, built once per flow). Fields irrelevant to a kind stay zero
+// and are omitted from JSON.
 type Event struct {
 	Seq  uint64  `json:"seq"`
 	Kind Kind    `json:"kind"`
@@ -185,39 +188,44 @@ type Event struct {
 
 // DefaultCapacity is the ring size used by NewRecorder(0) and the
 // package-level recorder: large enough to hold every event of the stock
-// experiment scenarios without wrapping, small enough (~a few MB) to
-// preallocate eagerly.
+// experiment scenarios without wrapping. A recorder's memory grows with
+// the events it holds, not with its capacity.
 const DefaultCapacity = 16384
 
-// Recorder is the flight recorder: a fixed-capacity ring of Events.
-// Appends are cheap (one mutex, one struct copy) and never allocate once
-// the ring is warm; when the ring is full the oldest events are
-// overwritten, and Snapshot reconstructs seq order across the wrap.
-// A nil Recorder is a valid no-op, as is a disabled one.
+// chunkSize is how many events the ring allocates at a time (about half a
+// megabyte). Growing adds a chunk and never moves the events already held.
+const chunkSize = 2048
+
+// Recorder is the flight recorder: a ring of at most capacity Events. It
+// grows on demand, one chunk at a time, to capacity, then overwrites the
+// oldest event on each append; Snapshot reconstructs seq order across the
+// wrap. Appends are cheap (one mutex, one struct copy) and allocate only
+// when they open a new chunk. A nil Recorder is a valid no-op, as is a
+// disabled one.
 type Recorder struct {
 	enabled atomic.Bool
 
-	mu   sync.Mutex
-	buf  []Event
-	cap  int
-	next uint64 // total events ever appended; buf[next%cap] is the next slot
+	mu sync.Mutex
+	// chunks hold ring slots [k*chunkSize, (k+1)*chunkSize); the last
+	// chunk is shorter when capacity is not a multiple of chunkSize.
+	chunks [][]Event
+	cap    int
+	next   uint64 // total events ever appended; slot next%cap is the next write
 }
 
 // NewRecorder returns an enabled recorder with the given ring capacity
-// (DefaultCapacity if capacity <= 0). The ring is preallocated so
-// steady-state appends allocate nothing.
+// (DefaultCapacity if capacity <= 0). The ring grows on demand to
+// capacity, then overwrites the oldest event.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	r := &Recorder{buf: make([]Event, capacity), cap: capacity}
+	r := &Recorder{cap: capacity}
 	r.enabled.Store(true)
 	return r
 }
 
-// std is the package-level recorder behind Default(). Its ring is
-// allocated lazily on first enabled append, so binaries that never turn
-// recording on pay nothing.
+// std is the package-level recorder behind Default().
 var std = &Recorder{cap: DefaultCapacity}
 
 // Default returns the package-level recorder. Like telemetry's
@@ -246,13 +254,45 @@ func (r *Recorder) Append(e Event) {
 		return
 	}
 	r.mu.Lock()
-	if r.buf == nil {
-		r.buf = make([]Event, r.cap)
+	slot := int(r.next % uint64(r.cap))
+	// Slots fill in order, so a missing chunk is always the next one.
+	if k := slot / chunkSize; k == len(r.chunks) {
+		r.chunks = append(r.chunks, make([]Event, min(chunkSize, r.cap-k*chunkSize)))
 	}
 	e.Seq = r.next
-	r.buf[r.next%uint64(r.cap)] = e
+	r.chunks[slot/chunkSize][slot%chunkSize] = e
 	r.next++
 	r.mu.Unlock()
+}
+
+// held returns the number of retained events. Callers hold r.mu.
+func (r *Recorder) held() int {
+	if r.next < uint64(r.cap) {
+		return int(r.next)
+	}
+	return r.cap
+}
+
+// segments returns the retained events as sub-slices of the chunks, in
+// ascending Seq order: after a wrap the oldest surviving event is in the
+// slot about to be written next. Callers hold r.mu, and the slices alias
+// the ring.
+func (r *Recorder) segments() [][]Event {
+	n := r.held()
+	slot := 0
+	if r.next > uint64(r.cap) {
+		slot = int(r.next % uint64(r.cap))
+	}
+	var segs [][]Event
+	for n > 0 {
+		c := r.chunks[slot/chunkSize]
+		off := slot % chunkSize
+		seg := c[off:min(len(c), off+n)]
+		segs = append(segs, seg)
+		n -= len(seg)
+		slot = (slot + len(seg)) % r.cap
+	}
+	return segs
 }
 
 // Len returns the number of events currently held (≤ capacity).
@@ -262,10 +302,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.next < uint64(r.cap) {
-		return int(r.next)
-	}
-	return r.cap
+	return r.held()
 }
 
 // Total returns the number of events ever appended, including any that
@@ -286,10 +323,7 @@ func (r *Recorder) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.next <= uint64(r.cap) {
-		return 0
-	}
-	return r.next - uint64(r.cap)
+	return r.next - uint64(r.held())
 }
 
 // Snapshot returns the retained events in ascending Seq order, handling
@@ -302,32 +336,67 @@ func (r *Recorder) Snapshot() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.next == 0 || r.buf == nil {
+	if r.next == 0 {
 		return nil
 	}
-	c := uint64(r.cap)
-	if r.next <= c {
-		return append([]Event(nil), r.buf[:r.next]...)
+	out := make([]Event, 0, r.held())
+	for _, seg := range r.segments() {
+		out = append(out, seg...)
 	}
-	// Wrapped: the slot about to be written next holds the oldest event.
-	head := r.next % c
-	out := make([]Event, 0, r.cap)
-	out = append(out, r.buf[head:]...)
-	out = append(out, r.buf[:head]...)
+	return out
+}
+
+// Filter chooses the events Select returns. A nil field places no
+// constraint, so the zero Filter selects every retained event.
+type Filter struct {
+	Kind *Kind   // only events of this kind
+	Flow *FlowID // only events attributed to this flow
+	// Limit keeps only the newest *Limit matching events.
+	Limit *int
+}
+
+func (f *Filter) match(e *Event) bool {
+	return (f.Kind == nil || e.Kind == *f.Kind) && (f.Flow == nil || e.Flow == *f.Flow)
+}
+
+// Select returns copies of the retained events that f matches, in
+// ascending Seq order, or nil when none does. It scans the ring under the
+// recorder lock and copies only the matches; with a Limit it walks back
+// from the newest event and stops once it has enough.
+func (r *Recorder) Select(f Filter) []Event {
+	if r == nil || (f.Limit != nil && *f.Limit <= 0) {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	segs := r.segments()
+	var out []Event
+	if f.Limit == nil {
+		for _, seg := range segs {
+			for i := range seg {
+				if f.match(&seg[i]) {
+					out = append(out, seg[i])
+				}
+			}
+		}
+		return out
+	}
+	limit := *f.Limit
+	for s := len(segs) - 1; s >= 0 && len(out) < limit; s-- {
+		seg := segs[s]
+		for i := len(seg) - 1; i >= 0 && len(out) < limit; i-- {
+			if f.match(&seg[i]) {
+				out = append(out, seg[i])
+			}
+		}
+	}
+	slices.Reverse(out)
 	return out
 }
 
 // FlowEvents returns the retained events attributed to one flow, in Seq
 // order — the causally-ordered decision chain behind that dataflow's cost.
-func (r *Recorder) FlowEvents(id FlowID) []Event {
-	var out []Event
-	for _, e := range r.Snapshot() {
-		if e.Flow == id {
-			out = append(out, e)
-		}
-	}
-	return out
-}
+func (r *Recorder) FlowEvents(id FlowID) []Event { return r.Select(Filter{Flow: &id}) }
 
 // Reset discards all recorded events and restarts sequence numbering.
 func (r *Recorder) Reset() {

@@ -78,38 +78,42 @@ func TestRingWraparound(t *testing.T) {
 }
 
 // TestConcurrentAppendAndSnapshot exercises the ring under -race: many
-// writers wrapping the buffer while snapshots are taken mid-append. Every
-// snapshot must be internally consistent (ascending unique seqs).
+// writers growing and wrapping the buffer while snapshots and filtered
+// reads are taken mid-append. Every read must be internally consistent
+// (ascending unique seqs).
 func TestConcurrentAppendAndSnapshot(t *testing.T) {
-	r := NewRecorder(64)
-	const writers, perWriter = 8, 500
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				r.Append(Event{Kind: KindFaultInjected, Flow: FlowID(w + 1), Count: i})
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			snap := r.Snapshot()
-			for j := 1; j < len(snap); j++ {
-				if snap[j].Seq <= snap[j-1].Seq {
-					t.Errorf("snapshot seqs out of order: %d then %d", snap[j-1].Seq, snap[j].Seq)
-					return
+	for _, capacity := range []int{64, 2*chunkSize + 5} {
+		r := NewRecorder(capacity)
+		const writers, perWriter = 8, 1000
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					r.Append(Event{Kind: KindFaultInjected, Flow: FlowID(w + 1), Count: i})
+				}
+			}(w)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 200; i++ {
+				for _, evs := range [][]Event{r.Snapshot(), r.FlowEvents(FlowID(i%writers + 1))} {
+					for j := 1; j < len(evs); j++ {
+						if evs[j].Seq <= evs[j-1].Seq {
+							t.Errorf("cap %d: seqs out of order: %d then %d", capacity, evs[j-1].Seq, evs[j].Seq)
+							return
+						}
+					}
 				}
 			}
+		}()
+		wg.Wait()
+		<-done
+		if got := r.Total(); got != writers*perWriter {
+			t.Fatalf("cap %d: Total = %d, want %d", capacity, got, writers*perWriter)
 		}
-	}()
-	wg.Wait()
-	<-done
-	if got := r.Total(); got != writers*perWriter {
-		t.Fatalf("Total = %d, want %d", got, writers*perWriter)
 	}
 }
 

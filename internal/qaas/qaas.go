@@ -126,9 +126,10 @@ type Config struct {
 	// quantum of realized makespan — modeling real container occupancy so
 	// throughput experiments measure overlap, not just CPU time.
 	PaceMSPerQuantum float64
-	// ProvenanceCapacity is each tenant's flight-recorder ring size
-	// (default provenance.DefaultCapacity). Size it above the expected
-	// events-per-tenant: a wrapped ring is unsound for AuditProvenance.
+	// ProvenanceCapacity is the most events each tenant's flight-recorder
+	// ring holds (default provenance.DefaultCapacity); the ring grows on
+	// demand up to it. Size it above the expected events-per-tenant: a
+	// wrapped ring is unsound for AuditProvenance.
 	ProvenanceCapacity int
 	// BatchMax caps how many queued admissions a worker coalesces into one
 	// batched window (default 8). Within a batch, admissions for the same

@@ -106,8 +106,16 @@ func (p *Pipeline) Tenants() []*Tenant {
 // Each tenant's aggregates and provenance log are captured under its lock,
 // so a concurrently executing admission is either fully in or fully out of
 // its tenant's snapshot; use InFlight to tell whether the global books can
-// be balanced exactly.
-func (p *Pipeline) Report() Report {
+// be balanced exactly. It copies every tenant's full log into Events, for
+// check.AuditQaaS.
+func (p *Pipeline) Report() Report { return p.report(true) }
+
+// Summary is Report without the provenance logs: every TenantReport's
+// Events is nil. It is what /v1/qaas serves, since Events is not part of
+// the JSON view; its cost does not grow with the events recorded.
+func (p *Pipeline) Summary() Report { return p.report(false) }
+
+func (p *Pipeline) report(withEvents bool) Report {
 	var names []string
 	byName := make(map[string]*Tenant)
 	for _, sh := range p.shards {
@@ -133,7 +141,10 @@ func (p *Pipeline) Report() Report {
 		t := byName[n]
 		t.mu.Lock()
 		m := t.svc.Aggregates()
-		ev := t.prov.Snapshot()
+		var ev []provenance.Event
+		if withEvents {
+			ev = t.prov.Snapshot()
+		}
 		dropped := t.prov.Dropped()
 		warm := t.svc.WarmStats()
 		t.mu.Unlock()

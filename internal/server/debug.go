@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"sort"
 	"strconv"
 
 	"idxflow/internal/provenance"
@@ -15,20 +14,19 @@ import (
 //	GET /debug/events?flow=3               only events of that dataflow
 //	GET /debug/events?limit=100            only the last N matching events
 //
-// The snapshot is taken under the recorder's own lock; the tenant lock is
-// not held, so a long-running submission never blocks introspection.
+// The filters run under the recorder's own lock and only the selected
+// events are copied; the tenant lock is not held, so a long-running
+// submission never blocks introspection.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	rec := s.recorder(r)
-	events := rec.Snapshot()
-
 	q := r.URL.Query()
+	var f provenance.Filter
 	if ks := q.Get("kind"); ks != "" {
 		kind, err := provenance.ParseKind(ks)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		events = filterEvents(events, func(e provenance.Event) bool { return e.Kind == kind })
+		f.Kind = &kind
 	}
 	if fs := q.Get("flow"); fs != "" {
 		id, err := strconv.ParseUint(fs, 10, 64)
@@ -36,7 +34,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "flow must be a non-negative integer", http.StatusBadRequest)
 			return
 		}
-		events = filterEvents(events, func(e provenance.Event) bool { return e.Flow == provenance.FlowID(id) })
+		flow := provenance.FlowID(id)
+		f.Flow = &flow
 	}
 	if ls := q.Get("limit"); ls != "" {
 		n, err := strconv.Atoi(ls)
@@ -44,11 +43,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "limit must be a non-negative integer", http.StatusBadRequest)
 			return
 		}
-		if n < len(events) {
-			events = events[len(events)-n:]
-		}
+		f.Limit = &n
 	}
 
+	rec := s.recorder(r)
+	events := rec.Select(f)
 	w.Header().Set("Content-Type", "application/jsonl")
 	if err := provenance.WriteLog(w, rec.NewHeader(), events); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -85,16 +84,5 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no events recorded for this flow", http.StatusNotFound)
 		return
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
 	writeJSON(w, http.StatusOK, FlowTrace{Flow: provenance.FlowID(id), Events: events})
-}
-
-func filterEvents(events []provenance.Event, keep func(provenance.Event) bool) []provenance.Event {
-	out := events[:0]
-	for _, e := range events {
-		if keep(e) {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -154,7 +154,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 // handleQaaSReport exposes the pipeline-wide snapshot: queue depth, fleet
 // occupancy, global and per-tenant books, admission counters.
 func (s *Server) handleQaaSReport(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.pipe.Report())
+	writeJSON(w, http.StatusOK, s.pipe.Summary())
 }
 
 // AuditResponse is the /debug/audit verdict.

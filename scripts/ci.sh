@@ -65,4 +65,19 @@ scripts/loadgen_smoke.sh
 echo "== table6x100 smoke (reduced scale) =="
 go run ./cmd/idxflow-experiments -exp table6x100 -scale 0.001 >/dev/null
 
+# perfbench is its own Go module, so the ./... steps above never build
+# it: vet and test it, then run one workload for a second. The run's last
+# line is its JSON result, which must report a correct run.
+echo "== perfbench vet + test =="
+(cd perfbench && go vet . && go test .)
+echo "== perfbench smoke =="
+last=$(sh perfbench/run.sh --workload small-flows --seed 1 --seconds 1 | tail -n 1)
+case "$last" in
+*'"correct":true'*) ;;
+*)
+	echo "perfbench smoke run did not report a correct run: $last"
+	exit 1
+	;;
+esac
+
 echo "CI checks passed."
